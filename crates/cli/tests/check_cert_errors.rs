@@ -74,3 +74,26 @@ fn missing_certificate_file_reports_a_clean_error() {
     let output = giallar().args(["check-cert", path.to_str().unwrap()]).output().unwrap();
     assert_clean_failure(&output, &path);
 }
+
+#[test]
+fn certificate_under_a_retired_routing_reports_a_clean_error() {
+    // Emit a genuine certificate, then relabel it the way the retired
+    // equality-saturation routing labelled its v1 certificates.
+    let path = std::env::temp_dir()
+        .join(format!("giallar-check-cert-{}-retired.json", std::process::id()));
+    let emitted = giallar()
+        .args(["compile", "bell", "--device", "line:6", "--certify", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(emitted.status.code(), Some(0), "{}", String::from_utf8_lossy(&emitted.stderr));
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(text.contains(r#""selection": "default""#), "unexpected certificate layout");
+    let retired = text
+        .replace(r#""selection": "default""#, r#""selection": "saturate""#)
+        .replace(r#""backend": "rewrite-equiv""#, r#""backend": "saturate-equiv""#);
+    std::fs::write(&path, retired).unwrap();
+    let output = giallar().args(["check-cert", path.to_str().unwrap()]).output().unwrap();
+    assert_clean_failure(&output, &path);
+    assert!(String::from_utf8_lossy(&output.stderr).contains("unknown selection `saturate`"));
+    std::fs::remove_file(&path).ok();
+}

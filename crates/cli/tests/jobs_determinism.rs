@@ -31,7 +31,7 @@ fn jobs_one_report_is_byte_identical_to_the_default_pool() {
 
 #[test]
 fn jobs_one_matches_a_wide_pool_under_every_backend() {
-    for backend in ["default", "reference", "saturate"] {
+    for backend in ["default", "reference"] {
         let (wide, wide_code) = verify_stdout(&["--backend", backend, "--jobs", "8"]);
         let (narrow, narrow_code) = verify_stdout(&["--backend", backend, "--jobs", "1"]);
         assert_eq!(wide_code, Some(0), "backend {backend}");

@@ -121,7 +121,7 @@ pub use registry::{verified_passes, VerifiedPass};
 pub use shard::{EvictionPolicy, FoldedStats, ShardStats, ShardedVerdictCache};
 pub use verifier::{
     fold_verdict_stream, obligation_fingerprints, pass_register_width, verify_all_passes,
-    verify_all_passes_cached, verify_all_passes_with, verify_pass, verify_pass_cached,
-    verify_pass_with, Discharger, PassReport, VerdictFold,
+    verify_all_passes_cached, verify_all_passes_with, verify_pass, verify_pass_with, Discharger,
+    PassReport, VerdictFold,
 };
 pub use wrapper::{giallar_transpile, QiskitWrapper};

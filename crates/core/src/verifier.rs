@@ -309,72 +309,6 @@ pub fn verify_pass_with(pass: &VerifiedPass, selection: BackendSelection) -> Pas
 /// of the cached verification pipeline).
 type PreparedPass = (Vec<ProofObligation>, Vec<Fingerprint>);
 
-/// The outcome of walking one pass's obligations against a cache snapshot:
-/// the assembled report, the freshly discharged verdicts to fold back into
-/// the cache, and the pass's hit/miss counts.
-struct PassWalk {
-    report: PassReport,
-    fresh: Vec<(Fingerprint, CachedVerdict)>,
-    hits: usize,
-    misses: usize,
-}
-
-/// Walks one pass's obligations in order, answering from the cache snapshot
-/// where possible and discharging the rest with a lazily created
-/// [`Discharger`].  Discharge stops at the first failing verdict, exactly
-/// like the uncached path — obligations after a failure are neither
-/// discharged nor counted.
-fn walk_pass_cached(
-    pass: &VerifiedPass,
-    obligations: &[ProofObligation],
-    fingerprints: &[Fingerprint],
-    cache: &VerdictCache,
-    selection: BackendSelection,
-) -> PassWalk {
-    let start = Instant::now();
-    let mut verified = true;
-    let mut failure = None;
-    let mut fresh: Vec<(Fingerprint, CachedVerdict)> = Vec::new();
-    let mut hits = 0;
-    let mut misses = 0;
-    let mut discharger: Option<Discharger> = None;
-    for (obligation, &fingerprint) in obligations.iter().zip(fingerprints) {
-        let verdict = match cache.peek(fingerprint) {
-            Some(cached) => {
-                hits += 1;
-                cached.to_verdict()
-            }
-            None => {
-                misses += 1;
-                let discharger = discharger.get_or_insert_with(|| {
-                    let mut d = Discharger::with_selection(selection);
-                    d.prewarm(pass_register_width(obligations));
-                    d
-                });
-                let verdict = discharger.discharge(&obligation.goal);
-                fresh.push((fingerprint, CachedVerdict::from_verdict(&verdict)));
-                verdict
-            }
-        };
-        if !fold_verdict(verdict, &obligation.description, &mut verified, &mut failure) {
-            break;
-        }
-    }
-    PassWalk {
-        report: PassReport {
-            name: pass.name.to_string(),
-            pass_loc: pass.pass_loc,
-            subgoals: obligations.len(),
-            time_seconds: start.elapsed().as_secs_f64(),
-            verified,
-            failure,
-        },
-        fresh,
-        hits,
-        misses,
-    }
-}
-
 /// Computes the cache keys for a pass's obligations under a selection: each
 /// obligation is keyed by its canonical form, the rule library, the id of
 /// the backend the selection routes its goal class to, and — for
@@ -394,31 +328,6 @@ pub fn obligation_fingerprints(
             obligation_fingerprint(obligation, library, backend, register)
         })
         .collect()
-}
-
-/// Verifies one pass through the incremental cache under the default
-/// routing: obligations are generated, fingerprinted, and only discharged
-/// when their fingerprint misses (see [`crate::cache`]).
-pub fn verify_pass_cached(pass: &VerifiedPass, cache: &mut VerdictCache) -> PassReport {
-    verify_pass_cached_with(pass, cache, BackendSelection::Default)
-}
-
-/// Verifies one pass through the incremental cache under an explicit
-/// backend selection.
-pub fn verify_pass_cached_with(
-    pass: &VerifiedPass,
-    cache: &mut VerdictCache,
-    selection: BackendSelection,
-) -> PassReport {
-    let obligations = (pass.obligations)();
-    let fingerprints =
-        obligation_fingerprints(&obligations, cache.rule_library_fingerprint(), selection);
-    let walk = walk_pass_cached(pass, &obligations, &fingerprints, cache, selection);
-    cache.note_pass(pass.name, walk.hits, walk.misses);
-    for (fingerprint, verdict) in walk.fresh {
-        cache.record(fingerprint, verdict);
-    }
-    walk.report
 }
 
 /// Verifies every pass in the registry under the default routing (the full
@@ -561,7 +470,7 @@ fn discharge_batched(items: Vec<BatchItem<&Goal>>) -> HashMap<Fingerprint, Cache
 /// 4. per-pass reports, hit/miss stats, and fresh verdicts fold
 ///    sequentially, in registry order, answering misses from the discharged
 ///    batch — so the counters, the reports, and the persisted file are
-///    byte-identical to the per-pass walk regardless of thread scheduling.
+///    byte-identical regardless of thread scheduling.
 ///
 /// The rayon pool (bounded by `--jobs`) limits both phase-1 obligation
 /// generation and phase-3 group discharge; `--jobs 1` degenerates to a
@@ -571,8 +480,8 @@ fn discharge_batched(items: Vec<BatchItem<&Goal>>) -> HashMap<Fingerprint, Cache
 /// phase-2 scan), so an obligation shared by two passes counts once per
 /// pass within a single run — its verdict discharges once thanks to the
 /// plan's fingerprint dedup — then hits for both on the next.  The fold
-/// stops at each pass's first failing verdict exactly like the single-pass
-/// walk (`walk_pass_cached`): later obligations of a failed pass may have
+/// stops at each pass's first failing verdict exactly like the uncached
+/// path ([`verify_pass_with`]): later obligations of a failed pass may have
 /// been discharged by the batch, but they are neither counted nor recorded.
 pub fn verify_passes_cached_with(
     passes: &[VerifiedPass],
@@ -840,11 +749,21 @@ mod tests {
         let passes = crate::registry::verified_passes();
         let pass = passes.iter().find(|p| p.name == "CXCancellation").unwrap();
         let mut cache = VerdictCache::new();
-        let cold = verify_pass_cached(pass, &mut cache);
+        let cold = verify_passes_cached_with(
+            std::slice::from_ref(pass),
+            &mut cache,
+            BackendSelection::Default,
+        )
+        .remove(0);
         assert!(cold.verified);
         assert!(cache.misses() > 0);
         cache.reset_stats();
-        let warm = verify_pass_cached(pass, &mut cache);
+        let warm = verify_passes_cached_with(
+            std::slice::from_ref(pass),
+            &mut cache,
+            BackendSelection::Default,
+        )
+        .remove(0);
         assert!(reports_agree(std::slice::from_ref(&cold), std::slice::from_ref(&warm)));
         assert_eq!(cache.misses(), 0);
         assert_eq!(cache.hits(), cold.subgoals);

@@ -555,5 +555,11 @@ mod tests {
             .unwrap_err()
             .contains("schema mismatch"));
         assert!(Request::from_line("not json").unwrap_err().contains("request:"));
+        // A client built before the routing was retired may still send it.
+        assert!(Request::from_line(
+            r#"{"schema":"giallar-serve/v1","id":1,"op":"verify","backend":"saturate"}"#
+        )
+        .unwrap_err()
+        .contains("unknown backend"));
     }
 }
