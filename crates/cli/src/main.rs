@@ -69,6 +69,7 @@ const USAGE: &str =
 
 USAGE:
     giallar <SUBCOMMAND> [OPTIONS]
+    giallar <SUBCOMMAND> --help      print one subcommand's usage
 
 SUBCOMMANDS:
     verify     verify the 44-pass registry (all passes or --pass <name>)
@@ -178,8 +179,32 @@ SUBCOMMANDS:
 Exit codes: 0 success, 1 failure, 2 usage error.
 ";
 
+/// One subcommand's usage: its block of [`USAGE`], or `None` for an
+/// unknown subcommand.  A block runs from the subcommand's line (indented
+/// four spaces) to the next such line or the blank line ending the list.
+fn subcommand_usage(name: &str) -> Option<String> {
+    let is_header = |line: &str| line.starts_with("    ") && !line.starts_with("     ");
+    let mut lines = USAGE
+        .lines()
+        .skip_while(|line| !(is_header(line) && line.split_whitespace().next() == Some(name)));
+    let mut usage = format!("USAGE:\n    giallar {name} [OPTIONS]\n\n{}\n", lines.next()?);
+    for line in lines.take_while(|line| !line.is_empty() && !is_header(line)) {
+        usage.push_str(line);
+        usage.push('\n');
+    }
+    usage.push_str("\nExit codes: 0 success, 1 failure, 2 usage error.\n");
+    Some(usage)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // `giallar <sub> ... --help` prints that subcommand's usage.
+    if args.iter().skip(1).any(|arg| arg == "--help" || arg == "-h") {
+        if let Some(usage) = subcommand_usage(&args[0]) {
+            print!("{usage}");
+            return ExitCode::SUCCESS;
+        }
+    }
     let result = match args.first().map(String::as_str) {
         Some("verify") => verify::run(&args[1..]),
         Some("compile") => compile::run(&args[1..]),

@@ -9,6 +9,10 @@
 //!
 //! Object members preserve insertion order so that serialization is
 //! deterministic and the committed artifacts are byte-stable.
+//!
+//! Parsing is linear in the document length: each run of unescaped string
+//! bytes is UTF-8-checked and copied in one step, so multi-megabyte
+//! certificates and cache files decode in milliseconds.
 
 use std::fmt;
 
@@ -413,13 +417,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slicing
-                    // on char boundaries is safe via chars()).
+                    // Copy the whole run up to the next quote or backslash
+                    // (or the end of input) in one step.  Both delimiters
+                    // are ASCII, so the run ends on a char boundary, and
+                    // each byte is UTF-8-checked exactly once.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8")?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len =
+                        rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len]).map_err(|_| "invalid utf-8")?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -550,5 +557,55 @@ mod tests {
         assert_eq!(parsed.as_str(), Some("a\"b\\c/d\n\tAé"));
         let control = Value::String("\u{0001}".to_string()).to_pretty();
         assert_eq!(parse(&control).unwrap().as_str(), Some("\u{0001}"));
+    }
+
+    #[test]
+    fn multibyte_runs_next_to_every_escape() {
+        let escapes = [(r#"\""#, '"'), (r"\\", '\\'), (r"\n", '\n'), (r"\u00e9", 'é')];
+        for wide in ["é", "😀"] {
+            for (escape, decoded) in escapes {
+                // Runs on both sides of the escape, and escapes at both ends
+                // of the string, so every run boundary meets a multi-byte
+                // scalar.
+                let raw = format!("{escape}{wide}{escape}{wide}{wide}{escape}");
+                let text: String = format!("{decoded}{wide}{decoded}{wide}{wide}{decoded}");
+                let doc = format!(r#"{{"{raw}": "{raw}", "k{wide}": ["{wide}{raw}{wide}"]}}"#);
+                let expected = Value::Object(vec![
+                    (text.clone(), Value::String(text.clone())),
+                    (
+                        format!("k{wide}"),
+                        Value::Array(vec![Value::String(format!("{wide}{text}{wide}"))]),
+                    ),
+                ]);
+                assert_eq!(parse(&doc).unwrap(), expected, "{doc}");
+                assert_eq!(parse(&expected.to_compact()).unwrap(), expected);
+            }
+        }
+    }
+
+    #[test]
+    fn a_string_ending_mid_run_is_unterminated() {
+        for bad in ["\"abc", "\"a😀é", "\"\\n😀bc", "{\"ké", "[\"x\", \"é\\\"é"] {
+            let error = parse(bad).unwrap_err();
+            assert!(error.contains("unterminated string"), "{bad:?}: {error}");
+        }
+    }
+
+    #[test]
+    fn megabyte_documents_of_long_strings_round_trip() {
+        // Over a megabyte of long strings with escapes and multi-byte text
+        // between the runs.  A parser that rescans the rest of the document
+        // per character takes minutes on this; a linear one, milliseconds.
+        let strings: Vec<Value> = (0..2_000)
+            .map(|i| {
+                let run = "gate cx q[0], q[1]; é 😀 ".repeat(20);
+                Value::String(format!("{i}:{run}\"quoted\"\\{run}\n{run}"))
+            })
+            .collect();
+        let doc = Value::object(vec![("strings", Value::Array(strings))]);
+        for text in [doc.to_compact(), doc.to_pretty()] {
+            assert!(text.len() > 1 << 20, "{} bytes", text.len());
+            assert_eq!(parse(&text).unwrap(), doc);
+        }
     }
 }

@@ -8,6 +8,7 @@
 //!
 //! * the 44 registry passes with their obligations **pre-generated** and
 //!   their cache fingerprints **pre-computed** for every backend selection;
+//! * the QASMBench suite the `compile` and `certify` ops draw circuits from;
 //! * a [`ShardedVerdictCache`] holding verdicts behind per-shard locks;
 //! * monotonic counters folded deterministically for `status`.
 //!
@@ -46,6 +47,7 @@ use giallar_core::verifier::{
     fold_verdict_stream, obligation_fingerprints, pass_register_width, Discharger, PassReport,
 };
 use giallar_core::wrapper::{baseline_transpile, giallar_pipeline_pass_names};
+use qasmbench::Benchmark;
 use qc_ir::CouplingMap;
 use rayon::prelude::*;
 use smtlite::Fingerprint;
@@ -191,13 +193,16 @@ pub struct StatusSnapshot {
 /// instance is shared by every worker and connection thread.
 pub struct Engine {
     passes: Vec<ResidentPass>,
+    /// The named circuits `compile` and `certify` serve, built once.
+    suite: Vec<Benchmark>,
     cache: ShardedVerdictCache,
     served: AtomicU64,
 }
 
 impl Engine {
     /// Builds the engine: generates and fingerprints every registry pass's
-    /// obligations (in parallel) and creates an empty sharded cache.
+    /// obligations (in parallel), builds the QASMBench suite, and creates an
+    /// empty sharded cache.
     pub fn new(config: EngineConfig) -> Engine {
         Engine::build(config, None)
     }
@@ -232,7 +237,8 @@ impl Engine {
             Some(initial) => ShardedVerdictCache::from_cache(initial, config.shards, config.policy),
             None => ShardedVerdictCache::new(config.shards, config.policy),
         };
-        Engine { passes, cache, served: AtomicU64::new(0) }
+        let suite = qasmbench::benchmark_suite();
+        Engine { passes, suite, cache, served: AtomicU64::new(0) }
     }
 
     /// The resident sharded cache (exported on shutdown via
@@ -453,6 +459,11 @@ impl Engine {
         self.cache.evict()
     }
 
+    /// The resident suite circuit named `name`.
+    fn benchmark(&self, name: &str) -> Option<&Benchmark> {
+        self.suite.iter().find(|b| b.name == name)
+    }
+
     /// Compiles a named QASMBench circuit with the baseline transpiler
     /// (devices parse via [`CouplingMap::from_spec`]).
     ///
@@ -466,12 +477,9 @@ impl Engine {
         device_spec: &str,
         seed: u64,
     ) -> Result<CompileOutcome, String> {
-        let bench = qasmbench::benchmark_suite()
-            .into_iter()
-            .find(|b| b.name == circuit)
-            .ok_or_else(|| {
-                format!("compile: unknown circuit `{circuit}` (the server compiles named QASMBench circuits)")
-            })?;
+        let bench = self.benchmark(circuit).ok_or_else(|| {
+            format!("compile: unknown circuit `{circuit}` (the server compiles named QASMBench circuits)")
+        })?;
         let device =
             CouplingMap::from_spec(device_spec).map_err(|error| format!("compile: {error}"))?;
         if bench.circuit.num_qubits() > device.num_qubits() {
@@ -485,7 +493,7 @@ impl Engine {
         let result = baseline_transpile(&bench.circuit, &device, seed)
             .map_err(|error| format!("compile: {circuit}: {error:?}"))?;
         Ok(CompileOutcome {
-            circuit: bench.name,
+            circuit: bench.name.clone(),
             device: device_spec.to_string(),
             seed,
             input: (bench.circuit.num_qubits(), bench.circuit.size(), bench.circuit.depth()),
@@ -518,12 +526,9 @@ impl Engine {
         seed: u64,
         selection: BackendSelection,
     ) -> Result<CertifyOutcome, String> {
-        let bench = qasmbench::benchmark_suite()
-            .into_iter()
-            .find(|b| b.name == circuit)
-            .ok_or_else(|| {
-                format!("certify: unknown circuit `{circuit}` (the server certifies named QASMBench circuits)")
-            })?;
+        let bench = self.benchmark(circuit).ok_or_else(|| {
+            format!("certify: unknown circuit `{circuit}` (the server certifies named QASMBench circuits)")
+        })?;
         let device =
             CouplingMap::from_spec(device_spec).map_err(|error| format!("certify: {error}"))?;
         if bench.circuit.num_qubits() > device.num_qubits() {

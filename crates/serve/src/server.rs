@@ -5,16 +5,21 @@
 //!
 //! ```text
 //! socket ── connection thread ──► dispatcher ──► batcher ──► cache shard
-//!                ▲                (1 thread)      (plan)      ├─ hit: pin + snapshot
-//!                │                                            └─ miss: worker pool
-//!                └──────────────── response ◄─── fold ◄─────────── discharge
+//!            │    ▲                (1 thread)      (plan)      ├─ hit: pin + snapshot
+//!            │    │                                            └─ miss: worker pool
+//!            │    └──────────────── response ◄─── fold ◄─────────── discharge
+//!            └─ compile / certify: served in place, never queued
 //! ```
 //!
 //! Each accepted connection gets its own thread that reads line-delimited
-//! [`crate::protocol`] requests and forwards them, in order, to the single
-//! **dispatcher** thread.  The dispatcher drains every request queued at
-//! that moment into one *dispatch batch*, serves the batch in arrival
-//! order — aggregating consecutive `verify` ops into one
+//! [`crate::protocol`] requests and serves them in order.  `compile` and
+//! `certify` are pure functions of their request, so the connection thread
+//! runs them itself: a slow certify never queues another client's verify.
+//! Every other op is forwarded to the single **dispatcher** thread, which
+//! owns what needs an order: verify batching and the `invalidate`,
+//! `compact`, `evict`, `status` and `shutdown` ops.  The dispatcher drains
+//! every request queued at that moment into one *dispatch batch*, serves
+//! the batch in arrival order — aggregating consecutive `verify` ops into one
 //! [`Engine::verify_batch`] call so their cache misses share goal-class
 //! discharge groups — and runs one LRU/TTL eviction sweep after each batch
 //! that verified anything.  Because eviction runs only between dispatch
@@ -146,7 +151,7 @@ impl Server {
                     break;
                 }
                 let jobs = job_tx.clone();
-                scope.spawn(move || serve_connection(stream, jobs, shutdown));
+                scope.spawn(move || serve_connection(stream, engine, jobs, shutdown));
             }
             drop(job_tx);
             Ok(())
@@ -171,25 +176,38 @@ fn accept(listener: &ListenerKind) -> io::Result<ByteStream> {
 /// connection exhaust the daemon's memory.
 pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
-/// One connection: read request lines in order, await each response from
-/// the dispatcher, write it back.  Exits on EOF, a write error, or the
-/// shutdown flag.
+/// One connection: read request lines in order, serve each (in place, or
+/// by awaiting the dispatcher), write the response back.  Exits on EOF, a
+/// write error, or the shutdown flag.
 ///
 /// Malformed input never kills the connection: unparseable or non-UTF-8
 /// lines get a structured protocol error (non-UTF-8 bytes are replaced
 /// lossily before parsing, which then fails cleanly), and a line exceeding
 /// [`MAX_REQUEST_LINE`] is answered with one error while the remainder of
 /// the oversized line is discarded as it streams in.
-fn serve_connection(mut stream: ByteStream, jobs: mpsc::Sender<Job>, shutdown: &AtomicBool) {
+fn serve_connection(
+    mut stream: ByteStream,
+    engine: &Engine,
+    jobs: mpsc::Sender<Job>,
+    shutdown: &AtomicBool,
+) {
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let mut pending: Vec<u8> = Vec::new();
+    // `pending[..scanned]` is known to hold no newline, so each received
+    // byte is scanned once however many reads a long line takes.
+    let mut scanned = 0;
     let mut chunk = [0u8; 4096];
     // True while swallowing the tail of an over-long line that was already
     // answered with an error; cleared at the next newline.
     let mut discarding = false;
     'connection: loop {
-        while let Some(at) = pending.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = pending.drain(..=at).collect();
+        // Complete lines are `pending[start..end]`; they are dropped from
+        // the buffer in one step after the loop.
+        let mut start = 0;
+        while let Some(offset) = pending[scanned..].iter().position(|&b| b == b'\n') {
+            let end = scanned + offset + 1;
+            let line = &pending[start..end];
+            (start, scanned) = (end, end);
             if discarding {
                 // The tail of a line whose head already got the error.
                 discarding = false;
@@ -201,12 +219,15 @@ fn serve_connection(mut stream: ByteStream, jobs: mpsc::Sender<Job>, shutdown: &
                 }
                 continue;
             }
-            let line = String::from_utf8_lossy(&line);
+            let line = String::from_utf8_lossy(line);
             if line.trim().is_empty() {
                 continue;
             }
             let response = match Request::from_line(&line) {
-                Ok(request) => dispatch(&jobs, request, shutdown),
+                Ok(request) => match serve_in_place(engine, &request) {
+                    Some(response) => response,
+                    None => dispatch(&jobs, request, shutdown),
+                },
                 // No trustworthy id or version to echo; answer at v1, the
                 // floor every client parses.
                 Err(error) => Response::error(-1, error).versioned(ProtocolVersion::V1),
@@ -217,6 +238,7 @@ fn serve_connection(mut stream: ByteStream, jobs: mpsc::Sender<Job>, shutdown: &
                 break 'connection;
             }
         }
+        pending.drain(..start);
         // A newline-free line already over the cap: answer once, then
         // drain the rest of it without buffering.
         if pending.len() > MAX_REQUEST_LINE && !discarding {
@@ -228,6 +250,7 @@ fn serve_connection(mut stream: ByteStream, jobs: mpsc::Sender<Job>, shutdown: &
         } else if discarding {
             pending.clear();
         }
+        scanned = pending.len();
         if shutdown.load(Ordering::SeqCst) {
             break;
         }
@@ -250,6 +273,28 @@ fn send_line_cap_error(stream: &mut ByteStream) -> bool {
     let mut wire = response.to_line();
     wire.push('\n');
     stream.write_all(wire.as_bytes()).is_ok() && stream.flush().is_ok()
+}
+
+/// Serves `compile` and `certify` on the calling connection thread.  Both
+/// are pure functions of their request (the engine is `&self` over a
+/// sharded cache), so they need none of the dispatcher's ordering; returns
+/// `None` for every op that does.
+fn serve_in_place(engine: &Engine, request: &Request) -> Option<Response> {
+    let id = request.id;
+    let response = match &request.op {
+        Op::Compile { circuit, device, seed } => match engine.compile(circuit, device, *seed) {
+            Ok(outcome) => Response::ok(id, compile_value(&outcome)),
+            Err(error) => Response::error(id, error),
+        },
+        Op::Certify { circuit, device, seed, backend } => {
+            match engine.certify(circuit, device, *seed, *backend) {
+                Ok(outcome) => Response::ok(id, certify_value(&outcome)),
+                Err(error) => Response::error(id, error),
+            }
+        }
+        _ => return None,
+    };
+    Some(response.versioned(request.version))
 }
 
 /// Forwards one request to the dispatcher and blocks for its response,
@@ -351,22 +396,13 @@ fn serve_verify_run(engine: &Engine, run: &[Job]) {
     }
 }
 
-/// Serves one non-verify job; returns whether it was a shutdown request.
+/// Serves one control job (`status`, `invalidate`, `compact`, `evict`,
+/// `shutdown`); returns whether it was a shutdown request.
 fn serve_one(engine: &Engine, job: &Job) -> bool {
     let id = job.request.id;
     let mut stop = false;
     let response = match &job.request.op {
         Op::Status => Response::ok(id, status_value(&engine.status())),
-        Op::Compile { circuit, device, seed } => match engine.compile(circuit, device, *seed) {
-            Ok(outcome) => Response::ok(id, compile_value(&outcome)),
-            Err(error) => Response::error(id, error),
-        },
-        Op::Certify { circuit, device, seed, backend } => {
-            match engine.certify(circuit, device, *seed, *backend) {
-                Ok(outcome) => Response::ok(id, certify_value(&outcome)),
-                Err(error) => Response::error(id, error),
-            }
-        }
         Op::Invalidate { pass, backend } => match engine.invalidate(pass, *backend) {
             Ok(removed) => Response::ok(
                 id,
@@ -389,6 +425,9 @@ fn serve_one(engine: &Engine, job: &Job) -> bool {
             Response::ok(id, Value::object(vec![("stopping", Value::Bool(true))]))
         }
         Op::Verify { .. } => unreachable!("verify ops are served in runs"),
+        Op::Compile { .. } | Op::Certify { .. } => {
+            unreachable!("compile and certify are served on the connection thread")
+        }
     };
     let _ = job.reply.send(response.versioned(job.request.version));
     stop

@@ -167,3 +167,42 @@ fn malformed_lines_get_an_error_response_without_killing_the_connection() {
     reader.read_line(&mut line).expect("read shutdown");
     handle.join().expect("server thread").expect("server run");
 }
+
+#[test]
+fn a_newline_free_line_just_over_the_cap_is_refused_once_and_promptly() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::time::{Duration, Instant};
+
+    use giallar_serve::server::MAX_REQUEST_LINE;
+
+    let (addr, handle) = start_tcp_server();
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let started = Instant::now();
+
+    // The daemon receives the line over hundreds of reads; framing must
+    // scan each byte once, not rescan the whole buffer after every read.
+    stream.write_all(&vec![b'x'; MAX_REQUEST_LINE + 1]).expect("write oversized line");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read cap error");
+    let response = giallar_serve::Response::from_line(&line).expect("parse cap error");
+    assert_eq!(response.id, -1);
+    let error = response.result.unwrap_err();
+    assert!(error.contains(&format!("exceeds {MAX_REQUEST_LINE} bytes")), "{error}");
+
+    // End the oversized line, then ask for status: the very next answer is
+    // the status, so the line drew exactly one cap error.
+    stream
+        .write_all(b"\n{\"schema\":\"giallar-serve/v1\",\"id\":3,\"op\":\"status\"}\n")
+        .expect("write status");
+    line.clear();
+    reader.read_line(&mut line).expect("read status");
+    let response = giallar_serve::Response::from_line(&line).expect("parse status");
+    assert_eq!(response.id, 3);
+    assert_eq!(int(&response.result.expect("status ok"), "passes"), 44);
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_secs(5), "cap error and status took {elapsed:?}");
+
+    Client::connect(&addr).expect("connect").shutdown().expect("shutdown");
+    handle.join().expect("server thread").expect("server run");
+}

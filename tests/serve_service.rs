@@ -3,14 +3,18 @@
 //! cache-management ops (invalidate, compact, evict) must behave under an
 //! aggressive eviction policy without ever corrupting a verdict.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 
 use giallar::core::backend::BackendSelection;
 use giallar::core::cache::VerdictCache;
+use giallar::core::certificate::certify_compilation;
 use giallar::core::json::Value;
 use giallar::core::shard::EvictionPolicy;
 use giallar::core::verifier::{reports_agree, verify_all_passes_cached, PassReport};
+use giallar::core::wrapper::{baseline_transpile, giallar_pipeline_pass_names};
+use giallar::ir::CouplingMap;
 use giallar::serve::engine::{Engine, EngineConfig};
 use giallar::serve::net::Endpoint;
 use giallar::serve::server::Server;
@@ -171,6 +175,89 @@ fn concurrent_mixed_traffic_never_disagrees() {
 
     let mut client = Client::connect(&addr).expect("connect");
     client.shutdown().expect("shutdown");
+    handle.join().expect("join").expect("run");
+}
+
+/// The certificate `giallar compile --certify` writes for a named suite
+/// circuit on falcon27.
+fn in_process_certificate(circuit: &str, seed: u64) -> String {
+    let bench = giallar::bench_circuits::benchmark_suite()
+        .into_iter()
+        .find(|bench| bench.name == circuit)
+        .expect("suite circuit");
+    let device = CouplingMap::from_spec("falcon27").expect("device");
+    let result = baseline_transpile(&bench.circuit, &device, seed).expect("transpile");
+    let pipeline: Vec<String> =
+        giallar_pipeline_pass_names(&device, seed).into_iter().map(str::to_string).collect();
+    certify_compilation(
+        circuit,
+        "falcon27",
+        seed,
+        &bench.circuit,
+        &result,
+        &pipeline,
+        BackendSelection::Default,
+    )
+    .to_json()
+    .to_pretty()
+}
+
+/// Reports as `giallar verify --deterministic --format json` encodes them.
+fn deterministic_json(reports: &[PassReport]) -> Vec<String> {
+    reports.iter().map(|report| report.to_json_value(false).to_compact()).collect()
+}
+
+#[test]
+fn certify_and_verify_on_two_connections_match_the_in_process_answers() {
+    let (addr, handle) = start_server(EngineConfig::default());
+    let mut cache = VerdictCache::new();
+    let reports = verify_all_passes_cached(&mut cache);
+    let local = deterministic_json(&reports);
+    let certificates: Vec<(&str, u64, String)> = ["bell", "ghz_3", "qft_4"]
+        .into_iter()
+        .flat_map(|circuit| [7, 11].map(|seed| (circuit, seed)))
+        .map(|(circuit, seed)| (circuit, seed, in_process_certificate(circuit, seed)))
+        .collect();
+    let certifying = AtomicBool::new(true);
+
+    thread::scope(|scope| {
+        // Connection one: every (circuit, seed) twice; the second round is
+        // answered from the resident cache.
+        let certifier = scope.spawn(|| {
+            let mut client = Client::connect(&addr).expect("connect");
+            for round in 0..2 {
+                for (circuit, seed, expected) in &certificates {
+                    let result = client
+                        .certify(circuit, "falcon27", *seed, BackendSelection::Default)
+                        .expect("certify");
+                    let served = result.get("certificate").expect("certificate").to_pretty();
+                    assert!(served == *expected, "{circuit} seed {seed}: certificate differs");
+                    let cached = result.get("cached").and_then(Value::as_bool);
+                    assert_eq!(cached, Some(round == 1), "{circuit} seed {seed} round {round}");
+                }
+            }
+            certifying.store(false, Ordering::SeqCst);
+        });
+        // Connection two: full and single-pass verifies for as long as the
+        // certifies run.
+        let verifier = scope.spawn(|| {
+            let mut client = Client::connect(&addr).expect("connect");
+            let mut rounds = 0;
+            while rounds < 2 || certifying.load(Ordering::SeqCst) {
+                let full = client.verify(None, BackendSelection::Default).expect("full verify");
+                assert_eq!(deterministic_json(&decoded_reports(&full)), local);
+                let index = rounds % reports.len();
+                let pass = vec![reports[index].name.clone()];
+                let single = client.verify(Some(pass), BackendSelection::Default).expect("verify");
+                assert_eq!(deterministic_json(&decoded_reports(&single)), [local[index].clone()]);
+                rounds += 1;
+            }
+        });
+        certifier.join().expect("certifier");
+        verifier.join().expect("verifier");
+    });
+
+    Client::connect(&addr).expect("connect").shutdown().expect("shutdown");
     handle.join().expect("join").expect("run");
 }
 
