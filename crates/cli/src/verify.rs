@@ -157,10 +157,9 @@ pub fn run(args: &[String]) -> CmdResult {
     if let Some(jobs) = options.jobs {
         // The vendored rayon shim sizes its scoped-thread pool from
         // RAYON_NUM_THREADS at call time; no worker threads exist yet here.
-        // The bound covers both halves of the batched discharge pipeline:
-        // parallel obligation generation and the work-stealing group
-        // discharge both size their worker count from the rayon pool, so
-        // `--jobs 1` runs fully sequentially with byte-identical output.
+        // The bound covers both parallel steps of a verify run: obligation
+        // generation and the per-group discharge of the batched scheduler,
+        // so `--jobs 1` runs fully sequentially with byte-identical output.
         std::env::set_var("RAYON_NUM_THREADS", jobs.to_string());
     }
 

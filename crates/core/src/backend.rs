@@ -72,8 +72,9 @@ use smtlite::{reference_normalize, Context, FaultSite, Formula, RewriteRule};
 
 use crate::obligation::Goal;
 
-/// The proof-goal classes the registry routes on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The proof-goal classes the registry routes on (ordered as in
+/// [`GoalClass::ALL`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum GoalClass {
     /// Circuit-equivalence goals (strict, or up to a routing permutation).
     CircuitEquivalence,
@@ -163,15 +164,6 @@ pub trait SolverBackend: Send + Sync {
     /// `discharge` would answer for the same goal (determinism rule).
     fn equivalence_evidence(&mut self, goal: &Goal) -> Option<(Verdict, Vec<WireEvidence>)> {
         let _ = goal;
-        None
-    }
-
-    /// A fresh, independently mutable copy of this backend carrying its
-    /// warmed state (rule library, register width).  The batched discharge
-    /// scheduler clones one prewarmed template per discharge group and fans
-    /// the clones out across worker threads.  `None` (the default) keeps
-    /// the backend's goals on the template instance.
-    fn snapshot(&self) -> Option<Box<dyn SolverBackend>> {
         None
     }
 }
@@ -294,10 +286,6 @@ impl SolverBackend for RewriteEquivBackend {
         };
         Some(self.checker(n).check_with_evidence(lhs, rhs, &wire_map))
     }
-
-    fn snapshot(&self) -> Option<Box<dyn SolverBackend>> {
-        Some(Box::new(self.clone()))
-    }
 }
 
 const ARITH_DESCRIPTOR: BackendDescriptor = BackendDescriptor {
@@ -349,10 +337,6 @@ impl SolverBackend for ArithBackend {
             },
         }
     }
-
-    fn snapshot(&self) -> Option<Box<dyn SolverBackend>> {
-        Some(Box::new(self.clone()))
-    }
 }
 
 const TRIVIAL_DESCRIPTOR: BackendDescriptor = BackendDescriptor {
@@ -382,10 +366,6 @@ impl SolverBackend for TrivialBackend {
                 ),
             },
         }
-    }
-
-    fn snapshot(&self) -> Option<Box<dyn SolverBackend>> {
-        Some(Box::new(*self))
     }
 }
 
@@ -566,15 +546,12 @@ impl SolverBackend for ReferenceBackend {
         }
         Some((verdict, evidence))
     }
-
-    fn snapshot(&self) -> Option<Box<dyn SolverBackend>> {
-        Some(Box::new(self.clone()))
-    }
 }
 
 /// Which backend family a verification run discharges with.  Parsed from the
 /// CLI's `--backend` flag and folded into every cached verdict's key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Ordered as in [`BackendSelection::ALL`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum BackendSelection {
     /// The production routing: [`RewriteEquivBackend`] for equivalence,
     /// [`ArithBackend`] for arithmetic, [`TrivialBackend`] for trivial goals.
@@ -656,18 +633,6 @@ impl BackendRegistry {
         let registry = BackendRegistry { selection, backends, route };
         registry.check_routes();
         registry
-    }
-
-    /// A fresh registry whose backends are [`SolverBackend::snapshot`]
-    /// clones of this one's, prewarmed state included.  `None` if any
-    /// installed backend cannot snapshot; callers then keep the goals on
-    /// this instance.
-    pub fn snapshot(&self) -> Option<BackendRegistry> {
-        let mut backends = Vec::with_capacity(self.backends.len());
-        for backend in &self.backends {
-            backends.push(backend.snapshot()?);
-        }
-        Some(BackendRegistry { selection: self.selection, backends, route: self.route })
     }
 
     /// Every routed backend must claim the class it serves — a routing
@@ -887,25 +852,6 @@ mod tests {
         // routing; it must parse as unknown, not fall back to another one.
         assert_eq!(BackendSelection::parse("saturate"), None);
         assert_eq!(BackendSelection::parse("z3"), None);
-    }
-
-    #[test]
-    fn snapshots_carry_prewarmed_state_and_agree_with_the_template() {
-        for selection in BackendSelection::ALL {
-            let mut template = BackendRegistry::new(selection);
-            template.prewarm(3);
-            let mut snapshot = template.snapshot().expect("all built-in backends snapshot");
-            assert_eq!(snapshot.selection(), selection);
-            for goal in [equivalence_goal(true), equivalence_goal(false), Goal::AlwaysTerminates] {
-                let original = template.discharge(&goal);
-                let cloned = snapshot.discharge(&goal);
-                assert_eq!(
-                    format!("{original:?}"),
-                    format!("{cloned:?}"),
-                    "{selection}: snapshot verdict drifted from the template"
-                );
-            }
-        }
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Discharge batching: grouping cache-miss obligations by backend routing
 //! before discharge.
 //!
-//! Two schedulers share this planning step: the `giallar serve` dispatcher
-//! batches concurrent requests' misses (`crates/serve`), and the in-process
-//! batched verifier ([`crate::verifier::verify_all_passes_cached`])
-//! collects the misses of *all* passes of a run and discharges the groups
-//! work-stealing-parallel over snapshot-cloned solver contexts.
+//! The batched verify scheduler ([`crate::verifier::verify_batched`]) plans
+//! every miss of a batch here, whether the batch is one `giallar verify`
+//! run or a `giallar serve` dispatch batch of concurrent requests; each
+//! planned group then discharges on one freshly prewarmed solver context.
 //!
 //! Giallar's verdict-determinism contract (see `giallar_core::backend`)
 //! makes a verdict a pure function of the obligation's canonical form, the
@@ -19,8 +18,8 @@
 //! [`plan`] is the pure planning step: it deduplicates by fingerprint and
 //! groups the remainder into [`DischargeGroup`]s with a deterministic order
 //! (groups by selection/class/width, work within a group by fingerprint),
-//! so the dispatcher's worker pool can discharge groups in parallel while
-//! the overall plan stays replayable.
+//! so the groups can discharge in parallel while the plan stays
+//! replayable.
 
 use std::collections::BTreeMap;
 
@@ -28,7 +27,7 @@ use crate::backend::{BackendSelection, GoalClass};
 use smtlite::Fingerprint;
 
 /// One missed obligation awaiting discharge.  `payload` is whatever the
-/// caller needs to perform the discharge (the engine passes the goal).
+/// caller needs to perform the discharge (the scheduler passes the goal).
 #[derive(Debug)]
 pub struct BatchItem<T> {
     /// The backend routing of the request that missed.
@@ -59,18 +58,7 @@ pub struct DischargeGroup<T> {
     pub work: Vec<(Fingerprint, T)>,
 }
 
-fn selection_index(selection: BackendSelection) -> usize {
-    BackendSelection::ALL
-        .iter()
-        .position(|s| *s == selection)
-        .expect("every selection appears in BackendSelection::ALL")
-}
-
-fn class_index(class: GoalClass) -> usize {
-    GoalClass::ALL.iter().position(|c| *c == class).expect("every class appears in GoalClass::ALL")
-}
-
-/// Plans the discharge of a dispatch batch's misses: deduplicates by
+/// Plans the discharge of a batch's misses: deduplicates by
 /// fingerprint (the first payload wins — duplicates are the same canonical
 /// obligation by construction of the fingerprint) and groups by
 /// `(selection, class, width)`.
@@ -78,10 +66,11 @@ fn class_index(class: GoalClass) -> usize {
 /// The returned group order and the work order within each group are
 /// deterministic functions of the item set, independent of item order.
 pub fn plan<T>(items: Vec<BatchItem<T>>) -> Vec<DischargeGroup<T>> {
-    let mut groups: BTreeMap<(usize, usize, usize), BTreeMap<Fingerprint, T>> = BTreeMap::new();
+    let mut groups: BTreeMap<(BackendSelection, GoalClass, usize), BTreeMap<Fingerprint, T>> =
+        BTreeMap::new();
     for item in items {
         groups
-            .entry((selection_index(item.selection), class_index(item.class), item.width))
+            .entry((item.selection, item.class, item.width))
             .or_default()
             .entry(item.fingerprint)
             .or_insert(item.payload);
@@ -89,8 +78,8 @@ pub fn plan<T>(items: Vec<BatchItem<T>>) -> Vec<DischargeGroup<T>> {
     groups
         .into_iter()
         .map(|((selection, class, width), work)| DischargeGroup {
-            selection: BackendSelection::ALL[selection],
-            class: GoalClass::ALL[class],
+            selection,
+            class,
             width,
             work: work.into_iter().collect(),
         })

@@ -19,7 +19,8 @@
 //!   poisons (or is answered by) the default entries.
 //!
 //! [`crate::verifier::verify_all_passes_cached`] consults the cache per
-//! obligation and re-discharges only obligations whose fingerprint changed:
+//! obligation (through its [`crate::verifier::VerdictStore`] impl) and
+//! re-discharges only obligations whose fingerprint changed:
 //! a pass with one edited branch re-checks exactly that branch.  Hit/miss
 //! statistics are tracked globally and per pass ([`VerdictCache::pass_stats`]).
 //! The cache persists to a JSON file (see [`VerdictCache::to_json`]); a v1
@@ -36,6 +37,7 @@ use smtlite::{FaultSite, Fingerprint, FingerprintBuilder, Verdict};
 use crate::json::{self, Value};
 use crate::obligation::ProofObligation;
 use crate::serialize::obligation_canonical_form;
+use crate::verifier::{Reached, VerdictStore};
 
 /// Version of the cache file format; bump on any breaking schema change so
 /// stale files are discarded instead of misread.  v1 was pass-grained; v2 is
@@ -481,6 +483,27 @@ impl Default for VerdictCache {
     fn default() -> Self {
         VerdictCache::new()
     }
+}
+
+/// The CLI's store: hits are read without counting ([`VerdictCache::peek`]),
+/// each pass's walk is counted once through [`VerdictCache::note_pass`], and
+/// fresh verdicts are recorded after it.  Nothing is pinned.
+impl VerdictStore for VerdictCache {
+    fn resolve(&mut self, fingerprint: Fingerprint) -> Option<CachedVerdict> {
+        self.peek(fingerprint).cloned()
+    }
+
+    fn settle(&mut self, pass: &str, reached: Vec<Reached>) {
+        let misses = reached.iter().filter(|r| r.fresh.is_some()).count();
+        self.note_pass(pass, reached.len() - misses, misses);
+        for Reached { fingerprint, fresh } in reached {
+            if let Some((verdict, _)) = fresh {
+                self.record(fingerprint, verdict);
+            }
+        }
+    }
+
+    fn release(&mut self, _fingerprint: Fingerprint) {}
 }
 
 #[cfg(test)]

@@ -35,11 +35,11 @@
 //!   rewriting, arithmetic, trivial, and a naive reference backend for
 //!   differential runs), and a [`backend::BackendRegistry`] that routes each
 //!   goal class to the backend selected by [`backend::BackendSelection`].
-//! * [`batch`] — the discharge planning step shared by the daemon
-//!   dispatcher and the verifier's cross-pass batched discharge: cache
-//!   misses are deduplicated by fingerprint and grouped by
-//!   `(backend selection, goal class, register width)` so each group can
-//!   share one prewarmed, snapshot-cloned solver context.
+//! * [`batch`] — the planning step of the batched verify scheduler
+//!   ([`verifier::verify_batched`]) that the CLI and the daemon share:
+//!   cache misses are deduplicated by fingerprint and grouped by
+//!   `(backend selection, goal class, register width)` so each group
+//!   discharges on one prewarmed solver context.
 //! * [`certificate`] — per-compilation translation-validation certificates:
 //!   a compilation can emit a machine-checkable
 //!   [`certificate::EquivalenceCertificate`] (circuit fingerprints, wire

@@ -69,6 +69,7 @@ use std::sync::Mutex;
 use smtlite::Fingerprint;
 
 use crate::cache::{CachedVerdict, VerdictCache};
+use crate::verifier::{Reached, VerdictStore};
 
 /// Bounds on the resident entry set.  `None` disables the respective
 /// mechanism; the all-`None` [`EvictionPolicy::unbounded`] keeps every entry
@@ -488,6 +489,39 @@ impl ShardedVerdictCache {
             pinned += shard.entries.values().filter(|entry| entry.pins > 0).count();
         }
         FoldedStats { total, per_shard, entries, pinned }
+    }
+}
+
+/// The daemon's store.  A hit stays pinned until its batch has folded, so
+/// no eviction sweep or compaction drops it mid request; every reached
+/// obligation is counted against its shard
+/// ([`ShardedVerdictCache::note_served`]), and a fresh verdict is recorded
+/// with the id of the backend that discharged it, which
+/// [`ShardedVerdictCache::compact`] reads.
+impl VerdictStore for &ShardedVerdictCache {
+    fn resolve(&mut self, fingerprint: Fingerprint) -> Option<CachedVerdict> {
+        if !self.pin(fingerprint) {
+            return None;
+        }
+        let hit = self.peek(fingerprint);
+        if hit.is_none() {
+            // Invalidated between pin and peek: a miss.
+            self.unpin(fingerprint);
+        }
+        hit
+    }
+
+    fn settle(&mut self, _pass: &str, reached: Vec<Reached>) {
+        for Reached { fingerprint, fresh } in reached {
+            self.note_served(fingerprint, fresh.is_none());
+            if let Some((verdict, backend)) = fresh {
+                self.record(fingerprint, verdict, backend);
+            }
+        }
+    }
+
+    fn release(&mut self, fingerprint: Fingerprint) {
+        self.unpin(fingerprint);
     }
 }
 

@@ -3,7 +3,6 @@
 //! per-pass reports that make up Table 2 of the paper.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use qc_symbolic::Verdict;
@@ -150,15 +149,6 @@ impl Discharger {
     pub fn discharge(&mut self, goal: &Goal) -> Verdict {
         self.registry.discharge(goal)
     }
-
-    /// A snapshot clone of this discharger, prewarmed state included — the
-    /// batched scheduler builds one prewarmed template per discharge group
-    /// and fans snapshot clones out across worker threads, so the rule
-    /// library is compiled once per group rather than once per worker.
-    /// `None` when an installed backend cannot snapshot.
-    pub fn snapshot(&self) -> Option<Discharger> {
-        Some(Discharger { registry: self.registry.snapshot()? })
-    }
 }
 
 /// The widest equivalence register among a pass's obligations (0 when the
@@ -181,30 +171,6 @@ pub fn pass_register_width(obligations: &[ProofObligation]) -> usize {
         .unwrap_or(0)
 }
 
-/// Folds one verdict into the pass-level outcome; returns `false` when the
-/// verdict fails the pass (the caller stops discharging, mirroring the
-/// uncached early exit).
-fn fold_verdict(
-    verdict: Verdict,
-    description: &str,
-    verified: &mut bool,
-    failure: &mut Option<String>,
-) -> bool {
-    match verdict {
-        Verdict::Proved => true,
-        Verdict::Refuted { explanation, .. } => {
-            *verified = false;
-            *failure = Some(format!("{description}: {explanation}"));
-            false
-        }
-        Verdict::Unknown { reason } => {
-            *verified = false;
-            *failure = Some(format!("{description}: undecided ({reason})"));
-            false
-        }
-    }
-}
-
 /// The pass-level outcome of folding an ordered verdict stream (see
 /// [`fold_verdict_stream`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -225,12 +191,10 @@ pub struct VerdictFold {
 /// at the first failing verdict, so items after a failure are never pulled
 /// from the iterator.
 ///
-/// This is the exact fold [`verify_pass`] and the cached paths apply —
-/// exposed so the resident service (`giallar serve`) can replay it over
-/// verdicts resolved from its sharded cache and produce reports
-/// bit-identical to the CLI, including the failure text.  Side effects in
-/// the iterator (counting a hit, recording a fresh verdict) run only for
-/// obligations the walk actually reaches.
+/// This is the exact fold [`verify_pass`] and [`verify_batched`] apply, so
+/// uncached, cached and served reports agree to the failure text.  Side
+/// effects in the iterator (noting a hit, collecting a fresh verdict) run
+/// only for obligations the walk actually reaches.
 ///
 /// ```
 /// use giallar_core::verifier::fold_verdict_stream;
@@ -250,46 +214,17 @@ pub fn fold_verdict_stream<I>(stream: I) -> VerdictFold
 where
     I: IntoIterator<Item = (Verdict, String)>,
 {
-    let mut verified = true;
-    let mut failure = None;
     let mut consumed = 0;
     for (verdict, description) in stream {
         consumed += 1;
-        if !fold_verdict(verdict, &description, &mut verified, &mut failure) {
-            break;
-        }
+        let failure = match verdict {
+            Verdict::Proved => continue,
+            Verdict::Refuted { explanation, .. } => format!("{description}: {explanation}"),
+            Verdict::Unknown { reason } => format!("{description}: undecided ({reason})"),
+        };
+        return VerdictFold { verified: false, failure: Some(failure), consumed };
     }
-    VerdictFold { verified, failure, consumed }
-}
-
-/// Discharges a prepared obligation list and assembles the report.  Shared
-/// by the uncached and cached verification paths so that both produce
-/// identical reports (modulo timing) for the same obligations.
-fn discharge_obligations(
-    name: &str,
-    pass_loc: usize,
-    obligations: &[ProofObligation],
-    start: Instant,
-    selection: BackendSelection,
-) -> PassReport {
-    let mut verified = true;
-    let mut failure = None;
-    let mut discharger = Discharger::with_selection(selection);
-    discharger.prewarm(pass_register_width(obligations));
-    for obligation in obligations {
-        let verdict = discharger.discharge(&obligation.goal);
-        if !fold_verdict(verdict, &obligation.description, &mut verified, &mut failure) {
-            break;
-        }
-    }
-    PassReport {
-        name: name.to_string(),
-        pass_loc,
-        subgoals: obligations.len(),
-        time_seconds: start.elapsed().as_secs_f64(),
-        verified,
-        failure,
-    }
+    VerdictFold { verified: true, failure: None, consumed }
 }
 
 /// Verifies one pass: generates its proof obligations and discharges each
@@ -298,16 +233,26 @@ pub fn verify_pass(pass: &VerifiedPass) -> PassReport {
     verify_pass_with(pass, BackendSelection::Default)
 }
 
-/// Verifies one pass under an explicit backend selection.
+/// Verifies one pass under an explicit backend selection: its obligations
+/// discharge in order on one prewarmed [`Discharger`], stopping at the
+/// first failure.
 pub fn verify_pass_with(pass: &VerifiedPass, selection: BackendSelection) -> PassReport {
     let start = Instant::now();
     let obligations = (pass.obligations)();
-    discharge_obligations(pass.name, pass.pass_loc, &obligations, start, selection)
+    let mut discharger = Discharger::with_selection(selection);
+    discharger.prewarm(pass_register_width(&obligations));
+    let fold = fold_verdict_stream(
+        obligations.iter().map(|o| (discharger.discharge(&o.goal), o.description.clone())),
+    );
+    PassReport {
+        name: pass.name.to_string(),
+        pass_loc: pass.pass_loc,
+        subgoals: obligations.len(),
+        time_seconds: start.elapsed().as_secs_f64(),
+        verified: fold.verified,
+        failure: fold.failure,
+    }
 }
-
-/// One pass's generated obligations paired with their cache keys (phase 1
-/// of the cached verification pipeline).
-type PreparedPass = (Vec<ProofObligation>, Vec<Fingerprint>);
 
 /// Computes the cache keys for a pass's obligations under a selection: each
 /// obligation is keyed by its canonical form, the rule library, the id of
@@ -372,124 +317,209 @@ pub fn verify_passes_cached(passes: &[VerifiedPass], cache: &mut VerdictCache) -
     verify_passes_cached_with(passes, cache, BackendSelection::Default)
 }
 
-/// Discharges a planned batch of cache misses work-stealing-parallel.
+/// Where [`verify_batched`] reads and writes verdicts: the CLI's
+/// [`VerdictCache`] and the daemon's [`crate::shard::ShardedVerdictCache`].
+pub trait VerdictStore {
+    /// Looks an obligation up at the start of a batch.  A store may pin
+    /// the hit until the matching [`Self::release`].
+    fn resolve(&mut self, fingerprint: Fingerprint) -> Option<CachedVerdict>;
+
+    /// Counts every obligation one pass's walk reached (in walk order) as a
+    /// hit or a miss, and records each miss's fresh verdict.
+    fn settle(&mut self, pass: &str, reached: Vec<Reached>);
+
+    /// Releases a hit returned by [`Self::resolve`].
+    fn release(&mut self, fingerprint: Fingerprint);
+}
+
+/// One obligation a pass's walk reached.
+#[derive(Debug, Clone)]
+pub struct Reached {
+    /// The obligation's cache key.
+    pub fingerprint: Fingerprint,
+    /// `None` for a hit; for a miss, the fresh verdict and the id of the
+    /// backend that discharged it.
+    pub fresh: Option<(CachedVerdict, &'static str)>,
+}
+
+/// A pass ready for [`verify_batched`]: its obligations and their cache
+/// keys under the run's selection ([`obligation_fingerprints`]).
+#[derive(Debug, Clone, Copy)]
+pub struct PreparedPass<'a> {
+    /// Pass name.
+    pub name: &'a str,
+    /// The registry's pass LOC.
+    pub pass_loc: usize,
+    /// The obligations, in walk order.
+    pub obligations: &'a [ProofObligation],
+    /// `fingerprints[i]` keys `obligations[i]`.
+    pub fingerprints: &'a [Fingerprint],
+}
+
+/// Passes verified under one selection: a `giallar verify` invocation, or
+/// one served verify request.
+#[derive(Debug, Clone)]
+pub struct VerifyRun<'a> {
+    /// The passes, in report order.
+    pub passes: Vec<PreparedPass<'a>>,
+    /// The backend routing the run discharges under.
+    pub selection: BackendSelection,
+}
+
+/// One pass's outcome: its report and how many reached obligations hit or
+/// missed.
+#[derive(Debug, Clone)]
+pub struct FoldedPass {
+    /// The pass's report.
+    pub report: PassReport,
+    /// Reached obligations the store answered.
+    pub hits: usize,
+    /// Reached obligations the batch discharged.
+    pub misses: usize,
+}
+
+/// What a batch discharged.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BatchShape {
+    /// Discharge groups planned.
+    pub groups: usize,
+    /// Unique obligations discharged.
+    pub discharged: usize,
+}
+
+/// The batched verify scheduler behind both `giallar verify`
+/// ([`verify_passes_cached_with`]) and the daemon's dispatch batches.
 ///
-/// The plan's groups (same selection, goal class, and register width) each
-/// get one prewarmed template [`Discharger`] built up front on the calling
-/// thread; workers pull items off a shared atomic index and snapshot-clone
-/// the owning group's template whenever they cross a group boundary, so a
-/// worker that drains a whole group reuses one solver context for all of it.
-/// The worker count is bounded by the rayon pool size, i.e. by `--jobs`.
+/// 1. **Resolve** — every obligation of every run is looked up in the
+///    store before anything is discharged.  Misses become [`BatchItem`]s
+///    keyed by the pass's register width for circuit-equivalence goals (the
+///    width their cache key folds in) and 0 for every other goal.
+/// 2. **Discharge** — [`plan`] deduplicates the misses by fingerprint and
+///    groups them by `(selection, goal class, width)`; each group
+///    discharges on one freshly prewarmed [`Discharger`], the groups in
+///    parallel on the rayon pool (a one-thread pool takes them in plan
+///    order).
+/// 3. **Fold** — runs, and the passes within each, fold in order through
+///    [`fold_verdict_stream`]: a pass stops at its first failing verdict,
+///    and only what its walk reached is settled into the store.  Every hit
+///    is released once the whole batch has folded.
 ///
-/// The returned map is keyed by fingerprint; because verdicts are pure
-/// functions of the fingerprinted inputs (the determinism contract in
-/// [`crate::backend`]), the map's contents are independent of scheduling.
-fn discharge_batched(items: Vec<BatchItem<&Goal>>) -> HashMap<Fingerprint, CachedVerdict> {
+/// Hits and misses are judged against the start-of-batch store, so an
+/// obligation shared by two passes (or two runs) counts as a miss for each
+/// but discharges once.  Verdicts are pure functions of their fingerprinted
+/// inputs (the determinism contract in [`crate::backend`]), so neither the
+/// grouping nor the thread count changes a report, a counter or an entry.
+pub fn verify_batched<S: VerdictStore>(
+    runs: &[VerifyRun<'_>],
+    store: &mut S,
+) -> (Vec<Vec<FoldedPass>>, BatchShape) {
+    let mut items: Vec<BatchItem<&Goal>> = Vec::new();
+    let mut held = Vec::new();
+    let mut resolved: Vec<Vec<Vec<Option<CachedVerdict>>>> = Vec::with_capacity(runs.len());
+    for run in runs {
+        let mut passes = Vec::with_capacity(run.passes.len());
+        for pass in &run.passes {
+            let width = pass_register_width(pass.obligations);
+            let mut hits = Vec::with_capacity(pass.obligations.len());
+            for (obligation, &fingerprint) in pass.obligations.iter().zip(pass.fingerprints) {
+                let hit = store.resolve(fingerprint);
+                if hit.is_some() {
+                    held.push(fingerprint);
+                } else {
+                    let class = GoalClass::of(&obligation.goal);
+                    let width = if class == GoalClass::CircuitEquivalence { width } else { 0 };
+                    let selection = run.selection;
+                    let payload = &obligation.goal;
+                    items.push(BatchItem { selection, class, width, fingerprint, payload });
+                }
+                hits.push(hit);
+            }
+            passes.push(hits);
+        }
+        resolved.push(passes);
+    }
+
     let groups = plan(items);
-    let templates: Vec<Discharger> = groups
-        .iter()
+    let shape = BatchShape {
+        groups: groups.len(),
+        discharged: groups.iter().map(|group| group.work.len()).sum(),
+    };
+    let discharged: HashMap<Fingerprint, CachedVerdict> = groups
+        .par_iter()
         .map(|group| {
             let mut discharger = Discharger::with_selection(group.selection);
             discharger.prewarm(group.width);
-            discharger
+            let work = group.work.iter();
+            work.map(|&(fp, goal)| (fp, CachedVerdict::from_verdict(&discharger.discharge(goal))))
+                .collect::<Vec<_>>()
         })
+        .collect::<Vec<_>>()
+        .into_iter()
+        .flatten()
         .collect();
-    // Flatten in plan order: (group index, fingerprint, goal).
-    let units: Vec<(usize, Fingerprint, &Goal)> = groups
-        .iter()
-        .enumerate()
-        .flat_map(|(index, group)| {
-            group.work.iter().map(move |&(fingerprint, goal)| (index, fingerprint, goal))
-        })
-        .collect();
-    let workers = rayon::current_num_threads().min(units.len()).max(1);
-    if workers == 1 {
-        // Single-worker pool (`--jobs 1` or a single unit): discharge in
-        // plan order on this thread, straight on the templates.
-        let mut templates = templates;
-        return units
-            .into_iter()
-            .map(|(index, fingerprint, goal)| {
-                (fingerprint, CachedVerdict::from_verdict(&templates[index].discharge(goal)))
-            })
-            .collect();
+
+    let mut outcomes = Vec::with_capacity(runs.len());
+    for (run, resolved) in runs.iter().zip(resolved) {
+        let mut folded = Vec::with_capacity(run.passes.len());
+        for (pass, resolved) in run.passes.iter().zip(resolved) {
+            let start = Instant::now();
+            let mut reached = Vec::new();
+            let walk = pass.obligations.iter().zip(pass.fingerprints).zip(resolved).map(
+                |((obligation, &fingerprint), hit)| {
+                    let verdict = match hit {
+                        Some(verdict) => {
+                            reached.push(Reached { fingerprint, fresh: None });
+                            verdict.to_verdict()
+                        }
+                        None => {
+                            let verdict = discharged
+                                .get(&fingerprint)
+                                .expect("the plan covers every resolved miss");
+                            let class = GoalClass::of(&obligation.goal);
+                            let fresh =
+                                Some((verdict.clone(), run.selection.backend_id_for(class)));
+                            reached.push(Reached { fingerprint, fresh });
+                            verdict.to_verdict()
+                        }
+                    };
+                    (verdict, obligation.description.clone())
+                },
+            );
+            let fold = fold_verdict_stream(walk);
+            let misses = reached.iter().filter(|r| r.fresh.is_some()).count();
+            let hits = reached.len() - misses;
+            store.settle(pass.name, reached);
+            let report = PassReport {
+                name: pass.name.to_string(),
+                pass_loc: pass.pass_loc,
+                subgoals: pass.obligations.len(),
+                time_seconds: start.elapsed().as_secs_f64(),
+                verified: fold.verified,
+                failure: fold.failure,
+            };
+            folded.push(FoldedPass { report, hits, misses });
+        }
+        outcomes.push(folded);
     }
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out: Vec<(Fingerprint, CachedVerdict)> = Vec::new();
-                    let mut current: Option<(usize, Discharger)> = None;
-                    loop {
-                        let slot = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(index, fingerprint, goal)) = units.get(slot) else {
-                            break;
-                        };
-                        let discharger = match current {
-                            Some((held, ref mut discharger)) if held == index => discharger,
-                            _ => {
-                                let clone = templates[index].snapshot().unwrap_or_else(|| {
-                                    // A backend without snapshot support:
-                                    // build (and prewarm) a fresh context.
-                                    let group = &groups[index];
-                                    let mut d = Discharger::with_selection(group.selection);
-                                    d.prewarm(group.width);
-                                    d
-                                });
-                                &mut current.insert((index, clone)).1
-                            }
-                        };
-                        let verdict = discharger.discharge(goal);
-                        out.push((fingerprint, CachedVerdict::from_verdict(&verdict)));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|handle| handle.join().expect("discharge worker panicked"))
-            .collect()
-    })
+    for fingerprint in held {
+        store.release(fingerprint);
+    }
+    (outcomes, shape)
 }
 
 /// The cached verification path over an explicit pass list and backend
-/// selection.
-///
-/// Four phases keep the run deterministic and the hot path parallel:
-///
-/// 1. obligation generation + fingerprinting per pass, in parallel (pure);
-/// 2. a sequential scan over the start-of-run cache collects every miss of
-///    every pass into [`BatchItem`]s, and [`plan`] deduplicates them by
-///    fingerprint and groups them by `(selection, goal class, width)`;
-/// 3. the groups discharge work-stealing-parallel (`discharge_batched`):
-///    one prewarmed template solver context per group, snapshot-cloned per
-///    worker, so the whole run builds solver state per *group* instead of
-///    per pass;
-/// 4. per-pass reports, hit/miss stats, and fresh verdicts fold
-///    sequentially, in registry order, answering misses from the discharged
-///    batch — so the counters, the reports, and the persisted file are
-///    byte-identical regardless of thread scheduling.
-///
-/// The rayon pool (bounded by `--jobs`) limits both phase-1 obligation
-/// generation and phase-3 group discharge; `--jobs 1` degenerates to a
-/// fully sequential run with identical output.
-///
-/// Hits and misses are judged against the start-of-run snapshot (the
-/// phase-2 scan), so an obligation shared by two passes counts once per
-/// pass within a single run — its verdict discharges once thanks to the
-/// plan's fingerprint dedup — then hits for both on the next.  The fold
-/// stops at each pass's first failing verdict exactly like the uncached
-/// path ([`verify_pass_with`]): later obligations of a failed pass may have
-/// been discharged by the batch, but they are neither counted nor recorded.
+/// selection: obligations are generated and fingerprinted for every pass in
+/// parallel, then the passes verify as one [`verify_batched`] run against
+/// `cache`.  The rayon pool (`--jobs`) bounds both the generation and the
+/// group discharge; reports, counters and the persisted file are
+/// byte-identical for every pool size.
 pub fn verify_passes_cached_with(
     passes: &[VerifiedPass],
     cache: &mut VerdictCache,
     selection: BackendSelection,
 ) -> Vec<PassReport> {
     let library = cache.rule_library_fingerprint();
-    let prepared: Vec<PreparedPass> = passes
+    let prepared: Vec<(Vec<ProofObligation>, Vec<Fingerprint>)> = passes
         .par_iter()
         .map(|pass| {
             let obligations = (pass.obligations)();
@@ -497,76 +527,12 @@ pub fn verify_passes_cached_with(
             (obligations, fingerprints)
         })
         .collect();
-    // Phase 2: cross-pass miss scan against the start-of-run cache.  The
-    // per-(pass, obligation) miss flags are remembered so phase 4 counts
-    // hits and misses against this snapshot, not the mutating cache.
-    let mut items: Vec<BatchItem<&Goal>> = Vec::new();
-    let missed: Vec<Vec<bool>> = prepared
-        .iter()
-        .map(|(obligations, fingerprints)| {
-            let width = pass_register_width(obligations);
-            obligations
-                .iter()
-                .zip(fingerprints)
-                .map(|(obligation, &fingerprint)| {
-                    if cache.peek(fingerprint).is_some() {
-                        return false;
-                    }
-                    let class = GoalClass::of(&obligation.goal);
-                    items.push(BatchItem {
-                        selection,
-                        class,
-                        width: if class == GoalClass::CircuitEquivalence { width } else { 0 },
-                        fingerprint,
-                        payload: &obligation.goal,
-                    });
-                    true
-                })
-                .collect()
-        })
-        .collect();
-    // Phase 3: plan + work-stealing discharge of the deduplicated misses.
-    let discharged = discharge_batched(items);
-    // Phase 4: sequential registry-order fold with walk semantics.
-    let mut reports = Vec::with_capacity(passes.len());
-    for ((pass, (obligations, fingerprints)), missed) in passes.iter().zip(&prepared).zip(&missed) {
-        let start = Instant::now();
-        let mut verified = true;
-        let mut failure = None;
-        let mut fresh: Vec<(Fingerprint, CachedVerdict)> = Vec::new();
-        let mut hits = 0;
-        let mut misses = 0;
-        for ((obligation, &fingerprint), &miss) in obligations.iter().zip(fingerprints).zip(missed)
-        {
-            let verdict = if miss {
-                misses += 1;
-                let cached =
-                    discharged.get(&fingerprint).expect("the plan covers every scanned miss");
-                let verdict = cached.to_verdict();
-                fresh.push((fingerprint, CachedVerdict::from_verdict(&verdict)));
-                verdict
-            } else {
-                hits += 1;
-                cache.peek(fingerprint).expect("a phase-2 hit stays cached").to_verdict()
-            };
-            if !fold_verdict(verdict, &obligation.description, &mut verified, &mut failure) {
-                break;
-            }
-        }
-        cache.note_pass(pass.name, hits, misses);
-        for (fingerprint, verdict) in fresh {
-            cache.record(fingerprint, verdict);
-        }
-        reports.push(PassReport {
-            name: pass.name.to_string(),
-            pass_loc: pass.pass_loc,
-            subgoals: obligations.len(),
-            time_seconds: start.elapsed().as_secs_f64(),
-            verified,
-            failure,
-        });
-    }
-    reports
+    let passes = passes.iter().zip(&prepared).map(|(pass, (obligations, fingerprints))| {
+        PreparedPass { name: pass.name, pass_loc: pass.pass_loc, obligations, fingerprints }
+    });
+    let run = VerifyRun { passes: passes.collect(), selection };
+    let (outcomes, _) = verify_batched(std::slice::from_ref(&run), cache);
+    outcomes.into_iter().flatten().map(|folded| folded.report).collect()
 }
 
 /// True when two report lists agree on everything except timing: same order,

@@ -12,47 +12,37 @@
 //! * a [`ShardedVerdictCache`] holding verdicts behind per-shard locks;
 //! * monotonic counters folded deterministically for `status`.
 //!
-//! [`Engine::verify_batch`] is the dispatch entry point.  It processes a
-//! batch of concurrent verify requests in three phases (mirroring the
-//! three-phase pipeline of `giallar_core::verifier::verify_passes_cached_with`):
-//!
-//! 1. **Resolve** — each request's obligations are looked up against a
-//!    snapshot of the cache taken at batch start; hits are pinned so a
-//!    concurrent eviction sweep can never drop a verdict mid-request.
-//! 2. **Discharge** — the misses of *all* requests are planned into
-//!    [`crate::batch`] groups by `(selection, goal class, width)`,
-//!    deduplicated by fingerprint, and discharged group-parallel on the
-//!    worker pool, one prewarmed solver context per group.
-//! 3. **Fold** — each request replays its obligation walk in arrival order
-//!    with the verifier's exact fold semantics
-//!    ([`giallar_core::verifier::fold_verdict_stream`]): stop at the first
-//!    failure, count hits/misses only for obligations the walk reaches,
-//!    record fresh verdicts into the sharded cache.
-//!
-//! Because phase 1 resolves against a snapshot and phase 3 folds in arrival
-//! order, the reports and the folded statistics are deterministic functions
-//! of the request sequence — and a warm request's reports are bit-identical
-//! (modulo timing) to a `giallar verify` run at the same cache state.
+//! [`Engine::verify_batch`] is the dispatch entry point.  A batch of
+//! concurrent verify requests is one call of the scheduler `giallar verify`
+//! also runs, [`giallar_core::verifier::verify_batched`]: one run per
+//! request, with the sharded cache as the
+//! [`giallar_core::verifier::VerdictStore`].  Resolve pins each hit until
+//! the batch has folded, so an eviction sweep never drops a verdict a
+//! request holds; settling counts every reached obligation against its
+//! shard and records fresh verdicts with the id of the backend that
+//! discharged them.  Requests resolve against the batch-start cache and
+//! fold in arrival order, so reports and folded statistics are
+//! deterministic functions of the request sequence, and a served report is
+//! bit-identical (modulo timing) to `giallar verify` at the same cache
+//! state.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use giallar_core::backend::{BackendSelection, GoalClass};
-use giallar_core::cache::{CachedVerdict, VerdictCache};
+use giallar_core::cache::VerdictCache;
 use giallar_core::certificate::{certify_compilation, EquivalenceCertificate};
 use giallar_core::obligation::ProofObligation;
 use giallar_core::registry::verified_passes;
 use giallar_core::shard::{EvictionPolicy, EvictionSummary, FoldedStats, ShardedVerdictCache};
 use giallar_core::verifier::{
-    fold_verdict_stream, obligation_fingerprints, pass_register_width, Discharger, PassReport,
+    obligation_fingerprints, verify_batched, PassReport, PreparedPass, VerifyRun,
 };
 use giallar_core::wrapper::{baseline_transpile, giallar_pipeline_pass_names};
 use qasmbench::Benchmark;
 use qc_ir::CouplingMap;
 use rayon::prelude::*;
 use smtlite::Fingerprint;
-
-use crate::batch::{plan, BatchItem};
 
 /// Construction parameters for an [`Engine`].
 #[derive(Debug, Clone, Copy)]
@@ -75,9 +65,6 @@ struct ResidentPass {
     name: &'static str,
     pass_loc: usize,
     obligations: Vec<ProofObligation>,
-    /// The pass's discharge register width (see
-    /// [`pass_register_width`]).
-    width: usize,
     /// `fingerprints[i]` are the cache keys under `BackendSelection::ALL[i]`.
     fingerprints: Vec<Vec<Fingerprint>>,
 }
@@ -110,7 +97,7 @@ pub struct VerifyOutcome {
     /// Per-pass reports, in registry order — identical (modulo the timing
     /// field) to what `giallar verify` produces at the same cache state.
     pub reports: Vec<PassReport>,
-    /// Obligations answered from the batch-start cache snapshot.
+    /// Obligations answered from the batch-start cache.
     pub hits: usize,
     /// Obligations that had to be discharged (or would have been, had the
     /// walk not stopped at an earlier failure).
@@ -224,13 +211,7 @@ impl Engine {
                     .iter()
                     .map(|&selection| obligation_fingerprints(&obligations, library, selection))
                     .collect();
-                ResidentPass {
-                    name: pass.name,
-                    pass_loc: pass.pass_loc,
-                    width: pass_register_width(&obligations),
-                    obligations,
-                    fingerprints,
-                }
+                ResidentPass { name: pass.name, pass_loc: pass.pass_loc, obligations, fingerprints }
             })
             .collect();
         let cache = match initial {
@@ -262,152 +243,56 @@ impl Engine {
         outcomes.pop().expect("one outcome per request")
     }
 
-    /// Serves a dispatch batch of concurrent verify requests: resolve each
-    /// against the batch-start cache snapshot, batch-discharge the misses
-    /// grouped by goal class, then fold outcomes in arrival order.  See the
-    /// module docs for the phase semantics.
+    /// Serves a dispatch batch of concurrent verify requests as one
+    /// [`verify_batched`] batch over the resident sharded cache: every
+    /// request whose pass filter resolves becomes one run, and the outcomes
+    /// come back in arrival order.  See the module docs for the phases.
     pub fn verify_batch(
         &self,
         requests: &[VerifyRequest],
     ) -> (Vec<Result<VerifyOutcome, String>>, BatchSummary) {
         self.cache.tick();
         self.served.fetch_add(requests.len() as u64, Ordering::Relaxed);
-
-        // Phase 1: resolve each request against the snapshot, pinning hits.
-        struct Prepared<'a> {
-            passes: Vec<&'a ResidentPass>,
-            selection_index: usize,
-            /// Per pass, per obligation: the snapshot verdict (hit) or None.
-            snapshots: Vec<Vec<Option<CachedVerdict>>>,
-            pinned: Vec<Fingerprint>,
-        }
-        let mut prepared: Vec<Result<Prepared<'_>, String>> = Vec::with_capacity(requests.len());
-        let mut misses: Vec<BatchItem<&ProofObligation>> = Vec::new();
-        for request in requests {
-            let passes = match self.resolve_passes(request.passes.as_deref()) {
-                Ok(passes) => passes,
-                Err(error) => {
-                    prepared.push(Err(error));
-                    continue;
-                }
-            };
-            let selection_index = selection_index(request.selection);
-            let mut snapshots = Vec::with_capacity(passes.len());
-            let mut pinned = Vec::new();
-            for pass in &passes {
-                let fingerprints = &pass.fingerprints[selection_index];
-                let mut snapshot = Vec::with_capacity(fingerprints.len());
-                for (obligation, &fingerprint) in pass.obligations.iter().zip(fingerprints) {
-                    let hit = if self.cache.pin(fingerprint) {
-                        match self.cache.peek(fingerprint) {
-                            Some(verdict) => {
-                                pinned.push(fingerprint);
-                                Some(verdict)
-                            }
-                            None => {
-                                // The entry was invalidated between pin and
-                                // peek; treat as a miss.
-                                self.cache.unpin(fingerprint);
-                                None
-                            }
-                        }
-                    } else {
-                        None
-                    };
-                    if hit.is_none() {
-                        misses.push(BatchItem {
-                            selection: request.selection,
-                            class: GoalClass::of(&obligation.goal),
-                            width: pass.width,
-                            fingerprint,
-                            payload: obligation,
-                        });
-                    }
-                    snapshot.push(hit);
-                }
-                snapshots.push(snapshot);
-            }
-            prepared.push(Ok(Prepared { passes, selection_index, snapshots, pinned }));
-        }
-
-        // Phase 2: plan the misses into goal-class groups and discharge
-        // them on the worker pool, one prewarmed solver context per group.
-        let groups = plan(misses);
+        let mut runs = Vec::with_capacity(requests.len());
+        let accepted: Vec<Result<(), String>> = requests
+            .iter()
+            .map(|request| {
+                let index = selection_index(request.selection);
+                let passes = self.resolve_passes(request.passes.as_deref())?;
+                runs.push(VerifyRun {
+                    passes: passes
+                        .into_iter()
+                        .map(|pass| PreparedPass {
+                            name: pass.name,
+                            pass_loc: pass.pass_loc,
+                            obligations: &pass.obligations,
+                            fingerprints: &pass.fingerprints[index],
+                        })
+                        .collect(),
+                    selection: request.selection,
+                });
+                Ok(())
+            })
+            .collect();
+        let (folded, shape) = verify_batched(&runs, &mut &self.cache);
+        let mut folded = folded.into_iter();
+        let outcomes = accepted
+            .into_iter()
+            .map(|accepted| {
+                accepted?;
+                let passes = folded.next().expect("one folded run per accepted request");
+                Ok(VerifyOutcome {
+                    hits: passes.iter().map(|pass| pass.hits).sum(),
+                    misses: passes.iter().map(|pass| pass.misses).sum(),
+                    reports: passes.into_iter().map(|pass| pass.report).collect(),
+                })
+            })
+            .collect();
         let summary = BatchSummary {
             requests: requests.len(),
-            groups: groups.len(),
-            discharged: groups.iter().map(|g| g.work.len()).sum(),
+            groups: shape.groups,
+            discharged: shape.discharged,
         };
-        let discharged: std::collections::HashMap<Fingerprint, CachedVerdict> = groups
-            .par_iter()
-            .map(|group| {
-                let mut discharger = Discharger::with_selection(group.selection);
-                discharger.prewarm(group.width);
-                group
-                    .work
-                    .iter()
-                    .map(|&(fingerprint, obligation)| {
-                        let verdict = discharger.discharge(&obligation.goal);
-                        (fingerprint, CachedVerdict::from_verdict(&verdict))
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .flatten()
-            .collect();
-
-        // Phase 3: fold each request in arrival order with the verifier's
-        // walk semantics; count and record only what the walk reaches.
-        let outcomes = prepared
-            .into_iter()
-            .map(|prepared| {
-                let Prepared { passes, selection_index, snapshots, pinned } = prepared?;
-                let mut reports = Vec::with_capacity(passes.len());
-                let mut hits = 0usize;
-                let mut misses = 0usize;
-                for (pass, snapshot) in passes.iter().zip(snapshots) {
-                    let start = Instant::now();
-                    let fingerprints = &pass.fingerprints[selection_index];
-                    let walk = pass.obligations.iter().zip(fingerprints).zip(snapshot).map(
-                        |((obligation, &fingerprint), cached)| {
-                            let verdict = match cached {
-                                Some(verdict) => {
-                                    hits += 1;
-                                    self.cache.note_served(fingerprint, true);
-                                    verdict.to_verdict()
-                                }
-                                None => {
-                                    misses += 1;
-                                    self.cache.note_served(fingerprint, false);
-                                    let verdict = discharged
-                                        .get(&fingerprint)
-                                        .expect("every miss was batch-discharged");
-                                    let backend = BackendSelection::ALL[selection_index]
-                                        .backend_id_for(GoalClass::of(&obligation.goal));
-                                    self.cache.record(fingerprint, verdict.clone(), backend);
-                                    verdict.to_verdict()
-                                }
-                            };
-                            (verdict, obligation.description.clone())
-                        },
-                    );
-                    let fold = fold_verdict_stream(walk);
-                    reports.push(PassReport {
-                        name: pass.name.to_string(),
-                        pass_loc: pass.pass_loc,
-                        subgoals: pass.obligations.len(),
-                        time_seconds: start.elapsed().as_secs_f64(),
-                        verified: fold.verified,
-                        failure: fold.failure,
-                    });
-                }
-                for fingerprint in pinned {
-                    self.cache.unpin(fingerprint);
-                }
-                Ok(VerifyOutcome { reports, hits, misses })
-            })
-            .collect();
         (outcomes, summary)
     }
 
@@ -630,6 +515,9 @@ mod tests {
         let requests = vec![VerifyRequest::full_registry(), VerifyRequest::full_registry()];
         let (outcomes, summary) = engine.verify_batch(&requests);
         assert_eq!(summary.requests, 2);
+        // The CLI's keying: three equivalence widths, then one arithmetic
+        // and one trivial group whatever the owning pass's width.
+        assert_eq!(summary.groups, 5);
         // 104 obligations dedupe to the cache's unique-entry count.
         assert_eq!(summary.discharged, engine.cache().len());
         assert!(summary.discharged < REGISTRY_SUBGOALS);

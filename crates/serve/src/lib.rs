@@ -8,10 +8,7 @@
 //! * [`engine`] — the resident [`engine::Engine`]: pre-generated registry
 //!   obligations, precomputed cache fingerprints, and a
 //!   [`giallar_core::shard::ShardedVerdictCache`] serving concurrent
-//!   requests with snapshot semantics.
-//! * [`batch`] — the pure planning step that groups a dispatch batch's
-//!   cache misses by `(backend selection, goal class, register width)` so
-//!   each group shares one prewarmed solver context.
+//!   requests through the core batched verify scheduler.
 //! * [`protocol`] — the line-delimited JSON `giallar-serve/v2` wire
 //!   protocol (see `docs/ARCHITECTURE.md` for the full schema).
 //! * [`net`] — endpoint specs and a unified stream over TCP and Unix
@@ -24,13 +21,12 @@
 //! The load-bearing invariant, inherited from the verdict-determinism
 //! contract of `giallar_core::backend`: a served verify response renders
 //! **bit-identically** to `giallar verify` at the same cache state, because
-//! both fold the same verdicts with the same walk semantics — serving only
-//! changes *where* the discharge work runs, never *what* it computes.
+//! both run the same scheduler and differ only in the verdict store —
+//! serving changes *where* the verdicts live, never *what* is computed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod client;
 pub mod engine;
 pub mod net;

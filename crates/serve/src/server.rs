@@ -4,10 +4,10 @@
 //! # Request lifecycle
 //!
 //! ```text
-//! socket ── connection thread ──► dispatcher ──► batcher ──► cache shard
-//!            │    ▲                (1 thread)      (plan)      ├─ hit: pin + snapshot
-//!            │    │                                            └─ miss: worker pool
-//!            │    └──────────────── response ◄─── fold ◄─────────── discharge
+//! socket ── connection thread ──► dispatcher ──► resolve ──► cache shard
+//!            │    ▲                (1 thread)     (scheduler)  ├─ hit: pin
+//!            │    │                                            └─ miss: plan
+//!            │    └──────── response ◄─── fold + settle ◄──── discharge
 //!            └─ compile / certify: served in place, never queued
 //! ```
 //!
@@ -20,11 +20,12 @@
 //! `compact`, `evict`, `status` and `shutdown` ops.  The dispatcher drains
 //! every request queued at that moment into one *dispatch batch*, serves
 //! the batch in arrival order — aggregating consecutive `verify` ops into one
-//! [`Engine::verify_batch`] call so their cache misses share goal-class
-//! discharge groups — and runs one LRU/TTL eviction sweep after each batch
-//! that verified anything.  Because eviction runs only between dispatch
-//! batches and in-flight requests pin their snapshot entries, a served
-//! request can never lose a verdict it is holding.
+//! [`Engine::verify_batch`] call, one batch of the scheduler `giallar
+//! verify` runs (`giallar_core::verifier::verify_batched`), so their cache
+//! misses share discharge groups — and runs one LRU/TTL eviction sweep
+//! after each batch that verified anything.  Because eviction runs only
+//! between dispatch batches and a batch pins every hit it resolved until it
+//! has folded, a served request can never lose a verdict it is holding.
 //!
 //! A request line that fails to parse is answered with an error response
 //! carrying id `-1` (there is no trustworthy id to echo).  A `shutdown`
